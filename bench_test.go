@@ -508,6 +508,48 @@ func BenchmarkS34_Discovery(b *testing.B) {
 	}
 }
 
+// BenchmarkUDDI_Publish measures the in-memory publish path (key minting,
+// validation, the stored copy): the per-entity cost of seeding a registry
+// with the businessEntities, tModels and services of many portal groups.
+func BenchmarkUDDI_Publish(b *testing.B) {
+	reg := uddi.NewRegistry()
+	biz, _ := reg.SaveBusiness(uddi.BusinessEntity{Name: "GCE"})
+	tm, _ := reg.SaveTModel(uddi.TModel{Name: batchscript.TModelName})
+	svc := uddi.BusinessService{
+		BusinessKey: biz.Key,
+		Name:        "svc-00001",
+		Description: "batch script generation",
+		Bindings: []uddi.BindingTemplate{{
+			AccessPoint: "http://host-001.example.org/ssp/svc-00001",
+			TModelKeys:  []string{tm.Key},
+		}},
+	}
+	b.Run("saveService", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reg.SaveService(svc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("saveBusiness", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reg.SaveBusiness(uddi.BusinessEntity{Name: "site-00001", Description: "computing center"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("saveTModel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reg.SaveTModel(uddi.TModel{Name: "gce:iface-00001", OverviewURL: "http://wsdl.example.org/iface-00001?wsdl"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // FIG2 — The atomic authentication step: cost of SAML assertion signing +
 // Authentication Service verification per call, local and over SOAP.

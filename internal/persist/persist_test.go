@@ -3,6 +3,7 @@ package persist_test
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,8 +53,13 @@ func TestAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := map[string]string{} // written only under Log call order (single goroutine)
+	// state is written by this goroutine and read by the background dump,
+	// so it is guarded as a service guards its own state.
+	var mu sync.Mutex
+	state := map[string]string{}
 	b := persist.Bind(l, func(add func(string, []byte) error) error {
+		mu.Lock()
+		defer mu.Unlock()
 		for k, v := range state {
 			if err := persist.AddJSON(add, "kv", map[string]string{"k": k, "v": v}); err != nil {
 				return err
@@ -64,7 +70,9 @@ func TestAutoCompaction(t *testing.T) {
 	b.CompactAfter = 256
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key-%02d", i)
+		mu.Lock()
 		state[k] = "value"
+		mu.Unlock()
 		if err := b.Log("kv", map[string]string{"k": k, "v": "value"}); err != nil {
 			t.Fatal(err)
 		}

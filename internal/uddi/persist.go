@@ -42,6 +42,16 @@ func (r *Registry) Persist(st persist.Store) error {
 	return nil
 }
 
+// log appends one mutation record when persistence is attached. The nil
+// check comes before the record is boxed into Log's interface{} argument,
+// so an in-memory registry's publish path allocates nothing for it.
+func (r *Registry) log(op string, rec record) error {
+	if r.persist == nil {
+		return nil
+	}
+	return r.persist.Log(op, rec)
+}
+
 // ClosePersist flushes and closes the attached store, if any. The registry
 // must have stopped serving writes.
 func (r *Registry) ClosePersist() error {

@@ -17,9 +17,9 @@ package uddi
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -109,15 +109,54 @@ func NewRegistry() *Registry {
 	}
 }
 
-// newKey derives a deterministic uuid-like key from a sequence number and
-// name; deterministic keys keep tests and recorded experiments stable (for
+// newKey mints the next registry key for an entity of the given kind.
+//
+// The derivation is a compatibility contract — keys appear in WAL logs,
+// golden files and recorded experiments, and recovery relies on a reopened
+// registry never re-minting one:
+//
+//	sha256("<kind>/<seq>/<name>")[:16], lower-case hex, formatted
+//	"uuid:" 8-4-4-4-12
+//
+// where seq is the decimal registry sequence number, advanced by one per
+// key. A binding key's name is "<service name>/<access point>". Keys are
+// deterministic, which keeps tests and recorded experiments stable (for
 // concurrent publishers the interleaving, and hence the keys, are of course
 // scheduling-dependent).
 func (r *Registry) newKey(kind, name string) string {
-	seq := r.seq.Add(1)
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s/%d/%s", kind, seq, name)))
-	h := hex.EncodeToString(sum[:16])
-	return fmt.Sprintf("uuid:%s-%s-%s-%s-%s", h[0:8], h[8:12], h[12:16], h[16:20], h[20:32])
+	return mintKey(kind, r.seq.Add(1), name)
+}
+
+// keyStackLen is the hash input mintKey assembles without a heap
+// allocation; longer inputs still hash correctly, they just spill.
+const keyStackLen = 128
+
+// mintKey implements newKey's derivation for sequence number seq, with the
+// name parts joined by "/" (a binding passes service name and access point,
+// so the joined name is never built as a string). Publishing runs it once
+// per entity, so it allocates only the returned key.
+func mintKey(kind string, seq int64, name ...string) string {
+	var stack [keyStackLen]byte
+	in := append(stack[:0], kind...)
+	in = append(in, '/')
+	in = strconv.AppendInt(in, seq, 10)
+	for _, part := range name {
+		in = append(in, '/')
+		in = append(in, part...)
+	}
+	sum := sha256.Sum256(in)
+	const hexDigits = "0123456789abcdef"
+	var key [len("uuid:") + 32 + 4]byte
+	n := copy(key[:], "uuid:")
+	for i, b := range sum[:16] {
+		if i == 4 || i == 6 || i == 8 || i == 10 {
+			key[n] = '-'
+			n++
+		}
+		key[n], key[n+1] = hexDigits[b>>4], hexDigits[b&0x0f]
+		n += 2
+	}
+	return string(key[:])
 }
 
 // SaveBusiness publishes a business entity, assigning its key. With
@@ -129,7 +168,7 @@ func (r *Registry) SaveBusiness(b BusinessEntity) (*BusinessEntity, error) {
 	sh := r.businesses.ShardFor(b.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opBusiness, record{Seq: r.seq.Load(), Business: &stored}); err != nil {
+	if err := r.log(opBusiness, record{Seq: r.seq.Load(), Business: &stored}); err != nil {
 		return nil, err
 	}
 	sh.Put(b.Key, &stored)
@@ -144,7 +183,7 @@ func (r *Registry) SaveTModel(t TModel) (*TModel, error) {
 	sh := r.tmodels.ShardFor(t.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opTModel, record{Seq: r.seq.Load(), TModel: &stored}); err != nil {
+	if err := r.log(opTModel, record{Seq: r.seq.Load(), TModel: &stored}); err != nil {
 		return nil, err
 	}
 	sh.Put(t.Key, &stored)
@@ -169,13 +208,13 @@ func (r *Registry) SaveService(s BusinessService) (*BusinessService, error) {
 	s.Key = r.newKey("service", s.Name)
 	s.Bindings = append([]BindingTemplate(nil), s.Bindings...)
 	for i := range s.Bindings {
-		s.Bindings[i].Key = r.newKey("binding", s.Name+"/"+s.Bindings[i].AccessPoint)
+		s.Bindings[i].Key = mintKey("binding", r.seq.Add(1), s.Name, s.Bindings[i].AccessPoint)
 	}
 	stored := s
 	sh := r.services.ShardFor(s.Key)
 	sh.Lock()
 	defer sh.Unlock()
-	if err := r.persist.Log(opService, record{Seq: r.seq.Load(), Service: &stored}); err != nil {
+	if err := r.log(opService, record{Seq: r.seq.Load(), Service: &stored}); err != nil {
 		return nil, err
 	}
 	sh.Put(s.Key, &stored)
@@ -190,7 +229,7 @@ func (r *Registry) DeleteService(key string) error {
 	if _, ok := sh.Get(key); !ok {
 		return fmt.Errorf("uddi: unknown serviceKey %q", key)
 	}
-	if err := r.persist.Log(opDelService, record{Key: key}); err != nil {
+	if err := r.log(opDelService, record{Key: key}); err != nil {
 		return err
 	}
 	sh.Delete(key)
@@ -239,8 +278,9 @@ func copyService(s *BusinessService) *BusinessService {
 // (case-insensitive), sorted by name. A UDDI find_business analog.
 func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 	var out []*BusinessEntity
+	lowerPattern := strings.ToLower(namePattern)
 	r.businesses.Range(func(_ string, b *BusinessEntity) bool {
-		if containsFold(b.Name, namePattern) {
+		if containsLower(b.Name, lowerPattern) {
 			cp := *b
 			out = append(out, &cp)
 		}
@@ -255,11 +295,12 @@ func (r *Registry) FindBusiness(namePattern string) []*BusinessEntity {
 // business. A UDDI find_service analog.
 func (r *Registry) FindService(businessKey, namePattern string) []*BusinessService {
 	var out []*BusinessService
+	lowerPattern := strings.ToLower(namePattern)
 	r.services.Range(func(_ string, s *BusinessService) bool {
 		if businessKey != "" && s.BusinessKey != businessKey {
 			return true
 		}
-		if namePattern != "" && !containsFold(s.Name, namePattern) {
+		if namePattern != "" && !containsLower(s.Name, lowerPattern) {
 			return true
 		}
 		out = append(out, copyService(s))
@@ -306,8 +347,11 @@ func (r *Registry) Counts() (businesses, services, tmodels int) {
 	return r.businesses.Len(), r.services.Len(), r.tmodels.Len()
 }
 
-func containsFold(haystack, needle string) bool {
-	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
+// containsLower reports whether haystack, lower-cased, contains
+// lowerNeedle. Find* lower-case their pattern once per call, not once per
+// registry entry.
+func containsLower(haystack, lowerNeedle string) bool {
+	return strings.Contains(strings.ToLower(haystack), lowerNeedle)
 }
 
 func containsKey(keys []string, key string) bool {
@@ -367,8 +411,9 @@ func ParseCapabilities(description string) []string {
 // from NQS") an inherent risk the discovery experiment quantifies.
 func (r *Registry) FindByConvention(scheduler string) []*BusinessService {
 	var out []*BusinessService
+	lowerScheduler := strings.ToLower(scheduler)
 	r.services.Range(func(_ string, s *BusinessService) bool {
-		if containsFold(s.Description, scheduler) {
+		if containsLower(s.Description, lowerScheduler) {
 			out = append(out, copyService(s))
 		}
 		return true

@@ -194,6 +194,75 @@ func TestConventionFalsePositive(t *testing.T) {
 	}
 }
 
+// TestFindMixedCase pins the case-insensitive Find* matches: every case
+// variant of a pattern returns the same services, the ones a per-entry
+// strings.ToLower on both sides would select.
+func TestFindMixedCase(t *testing.T) {
+	r := NewRegistry()
+	var bizKeys []string
+	for _, name := range []string{"SDSC", "sdsc HotPage", "IU Community Grids Lab", "Ωμέγα Grid Lab"} {
+		b, err := r.SaveBusiness(BusinessEntity{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bizKeys = append(bizKeys, b.Key)
+	}
+	for i, svc := range []struct{ name, desc string }{
+		{"Batch Script Generator", "schedulers: PBS,GRD"},
+		{"BATCH job submission", "Migrating away from pbs."},
+		{"Ωμέγα Script Service", "schedulers: LSF,NQS"},
+		{"context manager", "no schedulers here"},
+	} {
+		if _, err := r.SaveService(BusinessService{BusinessKey: bizKeys[i], Name: svc.name, Description: svc.desc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	business := func(p string) []string {
+		var out []string
+		for _, b := range r.FindBusiness(p) {
+			out = append(out, b.Name)
+		}
+		return out
+	}
+	service := func(p string) []string {
+		var out []string
+		for _, s := range r.FindService("", p) {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	convention := func(p string) []string {
+		var out []string
+		for _, s := range r.FindByConvention(p) {
+			out = append(out, s.Name)
+		}
+		return out
+	}
+	cases := []struct {
+		find     func(string) []string
+		patterns []string
+		want     string
+	}{
+		{business, []string{"sdsc", "SDSC", "SdSc"}, "SDSC|sdsc HotPage"},
+		{business, []string{"grid", "GRID", "gRiD"}, "IU Community Grids Lab|Ωμέγα Grid Lab"},
+		{business, []string{"ωμέγα", "ΩΜΈΓΑ", "Ωμέγα"}, "Ωμέγα Grid Lab"},
+		{business, []string{"hotpagex", "HOTPAGEX"}, ""},
+		{service, []string{"batch", "BATCH", "Batch"}, "BATCH job submission|Batch Script Generator"},
+		{service, []string{"script", "SCRIPT", "sCrIpT"}, "Batch Script Generator|Ωμέγα Script Service"},
+		{service, []string{"context", "CONTEXT"}, "context manager"},
+		{convention, []string{"pbs", "PBS", "Pbs"}, "BATCH job submission|Batch Script Generator"},
+		{convention, []string{"nqs", "NQS"}, "Ωμέγα Script Service"},
+		{convention, []string{"SCHEDULERS", "schedulers"}, "Batch Script Generator|context manager|Ωμέγα Script Service"},
+	}
+	for _, c := range cases {
+		for _, p := range c.patterns {
+			if got := strings.Join(c.find(p), "|"); got != c.want {
+				t.Errorf("pattern %q: got %q, want %q", p, got, c.want)
+			}
+		}
+	}
+}
+
 func TestConcurrentPublishAndQuery(t *testing.T) {
 	r := NewRegistry()
 	b, _ := r.SaveBusiness(BusinessEntity{Name: "IU"})

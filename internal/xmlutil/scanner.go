@@ -14,7 +14,8 @@
 //   - Names and namespace URIs are resolved by slicing the input without
 //     copying, then materialised through a bounded global intern table, so
 //     after warm-up the recurring vocabulary of a dialect (SOAP envelope
-//     names, xsi:type values, namespace URIs) costs zero allocations.
+//     names, xsi:type values, namespace URIs) costs zero allocations. Other
+//     attribute values are unbounded data and are never interned.
 //   - Element nodes are carved out of slabs. Plain ParseBytes hands the
 //     slabs to the caller inside the returned tree (forever-owned); the
 //     pooled path (ParseBytesPooled) recycles slabs, attribute storage, and
@@ -65,11 +66,11 @@ const (
 // --- name/value interning --------------------------------------------------
 
 // The intern table maps the recurring vocabulary of the wire dialects
-// (element and attribute names, namespace URIs, short attribute values such
-// as "xsd:string") to shared string instances. It is append-only and capped:
-// once full, lookups still hit for the warm vocabulary and misses simply
-// allocate per parse, so an attacker streaming unique names cannot grow it
-// without bound.
+// (element and attribute names, namespace URIs, type-tag attribute values
+// such as "xsd:string") to shared string instances. It is append-only and
+// capped: once full, lookups still hit for the warm vocabulary and misses
+// simply allocate per parse, so an attacker streaming unique names cannot
+// grow it without bound.
 //
 // The table is read-mostly to an extreme degree — after the first few
 // requests every parse is all hits — so it is published as a copy-on-write
@@ -103,6 +104,10 @@ func intern(b []byte) string {
 	tab := *internTab.Load()
 	if s, ok := tab[string(b)]; ok { // no alloc: compiler-recognised map lookup
 		return s
+	}
+	if len(tab) >= maxInternEntries {
+		// Full for good (the table is append-only): no writer to wait for.
+		return string(b)
 	}
 	s := string(b)
 	internWMu.Lock()
@@ -750,7 +755,13 @@ func (p *parser) startTag() error {
 		}
 		p.pos++
 		p.skipSpace()
-		val, err := p.attrValue()
+		// Namespace URIs and xsi:type-style tags ("xsd:string") are the
+		// dialect's bounded vocabulary and share the global intern table;
+		// every other value (registry keys, user data) is high-cardinality
+		// and gets its own string.
+		vocab := aprefix == nil && string(alocal) == "xmlns" || string(aprefix) == "xmlns" ||
+			aprefix != nil && string(alocal) == "type"
+		val, err := p.attrValue(vocab)
 		if err != nil {
 			return err
 		}
@@ -798,9 +809,9 @@ func (p *parser) startTag() error {
 }
 
 // attrValue lexes one quoted attribute value, unescaping only when needed.
-// Short clean values are interned: type tags like "xsd:string" repeat on
-// every message.
-func (p *parser) attrValue() (string, error) {
+// Clean vocabulary values are interned: type tags like "xsd:string" and
+// namespace URIs repeat on every message.
+func (p *parser) attrValue(vocab bool) (string, error) {
 	data := p.data
 	if p.pos >= len(data) || (data[p.pos] != '"' && data[p.pos] != '\'') {
 		return "", p.errf("unquoted or missing attribute value in element")
@@ -849,10 +860,13 @@ func (p *parser) attrValue() (string, error) {
 	}
 	span := data[start:i]
 	p.pos = i + 1
-	if clean {
+	if !clean {
+		return p.unescape(span, true)
+	}
+	if vocab {
 		return intern(span), nil
 	}
-	return p.unescape(span, true)
+	return string(span), nil
 }
 
 func (p *parser) endTag() error {

@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -333,5 +334,33 @@ func TestMixedTextTrimming(t *testing.T) {
 	}
 	if root.Text != "x  y" {
 		t.Errorf("mixed text = %q", root.Text)
+	}
+}
+
+// TestTreeParserDoesNotInternKeys parses documents shaped like UDDI answers,
+// each carrying a freshly minted uuid attribute, and checks that the global
+// intern table does not grow: attribute values other than namespace URIs
+// and type tags are data, not vocabulary.
+func TestTreeParserDoesNotInternKeys(t *testing.T) {
+	doc := func(i int) string {
+		return fmt.Sprintf(`<u:serviceInfo xmlns:u="urn:gce:uddi" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"`+
+			` serviceKey="uuid:%08x-1b3e-68a5-95fe-06cedcc64d10" xsi:type="u:serviceInfo"><name>svc</name></u:serviceInfo>`, i)
+	}
+	if _, err := ParseString(doc(-1)); err != nil { // warm the vocabulary
+		t.Fatal(err)
+	}
+	before := len(*internTab.Load())
+	for i := 0; i < 20000; i++ {
+		root, err := ParseString(doc(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("uuid:%08x-1b3e-68a5-95fe-06cedcc64d10", i)
+		if got, _ := root.Attr("serviceKey"); got != want {
+			t.Fatalf("doc %d: serviceKey = %q, want %q", i, got, want)
+		}
+	}
+	if after := len(*internTab.Load()); after != before {
+		t.Errorf("intern table grew from %d to %d entries over 20000 distinct keys", before, after)
 	}
 }
