@@ -127,8 +127,8 @@ func (r *Registry) newKey(kind, name string) string {
 	return mintKey(kind, r.seq.Add(1), name)
 }
 
-// keyStackLen is the hash input mintKey assembles without a heap
-// allocation; longer inputs still hash correctly, they just spill.
+// keyStackLen is the longest hash input mintKey assembles without a heap
+// allocation; longer inputs hash the same, they just spill to the heap.
 const keyStackLen = 128
 
 // mintKey implements newKey's derivation for sequence number seq, with the
