@@ -73,8 +73,9 @@ func main() {
 	}
 
 	// openStore attaches a WAL under <data>/<name> to a stateful service's
-	// persistence seam, replaying prior state into it. With -data unset it
-	// does nothing and every store stays purely in-memory.
+	// persistence seam, replaying prior state into it, and logs what
+	// recovery cut. With -data unset it does nothing and every store stays
+	// purely in-memory.
 	openStore := func(name string, attach func(persist.Store) error) {
 		if *dataDir == "" {
 			return
@@ -86,6 +87,7 @@ func main() {
 		if err := attach(l); err != nil {
 			log.Fatalf("recover %s: %v", name, err)
 		}
+		log.Printf("recovered %s log: %v", name, l.Recovery())
 	}
 
 	// Substrate.

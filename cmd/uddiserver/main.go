@@ -32,7 +32,7 @@ func main() {
 			log.Fatalf("recover registry: %v", err)
 		}
 		b, s, t := registry.Counts()
-		log.Printf("recovered registry from %s: %d businesses, %d services, %d tModels", *dataDir, b, s, t)
+		log.Printf("recovered registry from %s: %d businesses, %d services, %d tModels; %v", *dataDir, b, s, t, l.Recovery())
 	}
 	srv := rpc.NewServer("uddi", "http://localhost"+*addr)
 	svc := uddi.NewService(registry)

@@ -31,6 +31,8 @@ const (
 )
 
 // record is the union WAL record for store mutations and snapshot dumps.
+// A zero At is left out of the encoding; older logs that spell it out as
+// "0001-01-01T00:00:00Z" decode to the same zero time.
 type record struct {
 	Path    []string  `json:"path,omitempty"`
 	Name    string    `json:"name,omitempty"`
@@ -40,7 +42,7 @@ type record struct {
 	Session string    `json:"session,omitempty"`
 	ID      string    `json:"id,omitempty"`
 	Seq     int64     `json:"seq,omitempty"`
-	At      time.Time `json:"at,omitempty"`
+	At      time.Time `json:"at,omitzero"`
 	Data    string    `json:"data,omitempty"`
 	Tree    *treeNode `json:"tree,omitempty"`
 }
@@ -126,10 +128,21 @@ func (s *Store) replayAt(at time.Time, fn func()) {
 // benign snapshot-overlap duplicate — e.g. a "create" already folded into
 // the snapshot, whose existence check then refuses the reapply, which is
 // exactly the idempotency the replay contract asks for.
+//
+// Records go through decodeRecord first; whatever it declines is decoded by
+// json.Unmarshal, the differential oracle the fast path is fuzzed against
+// and the only decoder for snapshot trees. data is only valid until apply
+// returns, and both decoders copy every string they keep.
 func (s *Store) apply(op string, data []byte) error {
 	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("contextmgr: replay %s: %w", op, err)
+	if !decodeRecord(data, &rec) {
+		// A record of its own, so that only this path pays for the heap
+		// copy json.Unmarshal's interface argument forces.
+		var slow record
+		if err := json.Unmarshal(data, &slow); err != nil {
+			return fmt.Errorf("contextmgr: replay %s: %w", op, err)
+		}
+		rec = slow
 	}
 	if rec.Seq > s.seq.Load() {
 		s.seq.Store(rec.Seq)

@@ -1,6 +1,10 @@
 package contextmgr
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,4 +177,112 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 	if v, err := s2.GetProp(session, "phase"); err != nil || v != "one" {
 		t.Fatalf("phase = %q, %v after recovery; want the restored value one", v, err)
 	}
+}
+
+// legacyRecord is record as encoded before At was tagged omitzero: every
+// record without a timestamp carried "at":"0001-01-01T00:00:00Z".
+type legacyRecord struct {
+	Path    []string  `json:"path,omitempty"`
+	Name    string    `json:"name,omitempty"`
+	Value   string    `json:"value,omitempty"`
+	User    string    `json:"user,omitempty"`
+	Problem string    `json:"problem,omitempty"`
+	Session string    `json:"session,omitempty"`
+	ID      string    `json:"id,omitempty"`
+	Seq     int64     `json:"seq,omitempty"`
+	At      time.Time `json:"at,omitempty"`
+	Data    string    `json:"data,omitempty"`
+	Tree    *treeNode `json:"tree,omitempty"`
+}
+
+// TestReplayLegacyZeroAt rewrites a log into the legacy encoding and checks
+// that replaying it recovers exactly the state the current encoding does.
+func TestReplayLegacyZeroAt(t *testing.T) {
+	dir, legacyDir := t.TempDir(), t.TempDir()
+	l, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore()
+	if err := s.Persist(l); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2002, 11, 16, 12, 0, 0, 0, time.UTC)
+	var tick int64
+	s.SetTimeSource(func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) })
+	session := []string{"alice", "chem", "run1"}
+	for i, step := range []func() error{
+		func() error { return s.CreatePlaceholder("alice", "chem", "run1") },
+		func() error { return s.SetProp(session, "status", "submitted") },
+		func() error { return s.Create(append(session[:3:3], "outputs")) },
+		func() error { return s.Copy(session, "run2") },
+		func() error { return s.Rename([]string{"alice", "chem", "run2"}, "run3") },
+		func() error { return s.RemoveProp(session, "status") },
+		func() error { _, err := s.ArchiveSession("alice", "chem", "run1"); return err },
+		func() error { return s.SetProp(session, "status", "done") },
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode every record in the legacy form.
+	src, err := wal.Open(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := wal.Open(legacyDir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroAts := 0
+	if err := src.Replay(func(op string, data []byte) error {
+		if bytes.Contains(data, []byte(`"at":"0001-01-01T00:00:00Z"`)) {
+			t.Errorf("current encoding logs a zero time: %s %s", op, data)
+		}
+		var rec record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return err
+		}
+		old, err := json.Marshal(legacyRecord(rec))
+		if err != nil {
+			return err
+		}
+		zeroAts += bytes.Count(old, []byte(`"at":"0001-01-01T00:00:00Z"`))
+		return dst.Append(op, old)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if zeroAts == 0 {
+		t.Fatal("no legacy record carries a zero time")
+	}
+	if err := errors.Join(src.Close(), dst.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, want := storeState(t, recoverStore(t, legacyDir)), storeState(t, recoverStore(t, dir)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy log recovered\n%v\nwant\n%v", got, want)
+	}
+}
+
+// storeState is a store's full state as its snapshot records, keyed by op
+// and name: the archive sequence, every user tree and every archive, with
+// creation and archival times.
+func storeState(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	if err := s.dump(func(op string, data []byte) error {
+		var rec record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return err
+		}
+		state[op+" "+rec.Name+rec.ID] = string(data)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return state
 }

@@ -26,6 +26,8 @@ import (
 //   - Replay streams snapshot records first, then log records in append
 //     order. Records may be replayed that are also reflected in the
 //     snapshot, so apply functions must be idempotent (upsert semantics).
+//     The data passed to apply is only valid until apply returns; apply
+//     copies whatever it keeps.
 //   - Compact asks the service to re-emit its current state via dump; the
 //     resulting snapshot supersedes all earlier records. Appends may run
 //     concurrently with the dump.

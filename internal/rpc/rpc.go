@@ -303,6 +303,9 @@ func (a Args) XML(name string) *xmlutil.Element {
 // databind. A malformed value is a caller error and surfaces as a
 // BadRequest portal error; an absent parameter decodes to the zero value,
 // matching the tolerant behaviour of the paper's Python services.
+//
+// This tree dispatch is the streaming fast path's fallback and its
+// differential oracle (FuzzStreamVsTreeDispatch), kept on purpose.
 func (c *opCodec) decodeTree(raw soap.Args) (Args, error) {
 	sc := acquireScratch(len(c.params))
 	slots := sc.slots

@@ -25,7 +25,8 @@
 // value, so replaying an overlapping "inc" after it is the only hazard, and
 // the log's rotate-before-dump ordering guarantees any "inc" in the tail is
 // NOT yet folded into the "set" (see Compact). Keyed upserts, the common
-// case, are naturally idempotent.
+// case, are naturally idempotent. data is only valid until the callback
+// returns, so the "set" case parses it in place rather than keeping it.
 //
 // Each increment is acknowledged only after the record is fsynced; the
 // group commit means a thousand concurrent increments cost a handful of
@@ -51,7 +52,9 @@
 // the first bad frame and starts anyway — by construction nothing at or
 // past that frame was ever acknowledged. A crash during Compact leaves
 // either the old generation (rename not yet durable) or the new one, never
-// a mix.
+// a mix. l.Recovery() reports what Open cut, for the boot log:
+//
+//	log.Printf("recovered counter log: %v", l.Recovery())
 //
 // The three portal stores (uddi, xmlregistry, contextmgr) use exactly this
 // pattern through the persist.Store seam, with JSON-encoded records.

@@ -79,7 +79,30 @@ type Log struct {
 	snapSeq    uint64   // recovered snapshot generation; 0 = none
 	replaySegs []uint64 // segments to replay on boot, ascending
 	appended   bool     // an Append happened; Replay is no longer allowed
+	recovery   Recovery // what Open cut; immutable after Open
 }
+
+// Recovery reports what Open discarded to bring the log back to a
+// consistent prefix. The zero value means nothing was cut.
+type Recovery struct {
+	// TruncatedBytes were cut from the torn or corrupt tail of the last
+	// replayed segment.
+	TruncatedBytes int64
+	// DroppedSegments were deleted because they followed the torn segment.
+	DroppedSegments int
+	// DiscardedSnapshots are newer snapshots that failed validation and
+	// were passed over for an older generation.
+	DiscardedSnapshots int
+}
+
+// String renders the report as one boot-log phrase.
+func (r Recovery) String() string {
+	return fmt.Sprintf("truncated %d torn-tail bytes, dropped %d segments, discarded %d snapshots",
+		r.TruncatedBytes, r.DroppedSegments, r.DiscardedSnapshots)
+}
+
+// Recovery returns what Open cut while recovering the log.
+func (l *Log) Recovery() Recovery { return l.recovery }
 
 // Open creates or recovers the log in dir. Recovery picks the newest fully
 // valid snapshot, discards segments it supersedes, and truncates the log at
@@ -131,6 +154,7 @@ func (l *Log) recover() error {
 			l.snapSeq = snaps[i]
 			break
 		}
+		l.recovery.DiscardedSnapshots++
 	}
 
 	// Replay the segments the snapshot does not supersede, in order. The
@@ -149,12 +173,18 @@ func (l *Log) recover() error {
 		l.replaySegs = append(l.replaySegs, s)
 		active, haveActive = s, true
 		if !clean {
+			st, err := os.Stat(l.segPath(s))
+			if err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
 			if err := os.Truncate(l.segPath(s), valid); err != nil {
 				return fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
+			l.recovery.TruncatedBytes = st.Size() - valid
 			for _, drop := range segs[i+1:] {
 				os.Remove(l.segPath(drop))
 			}
+			l.recovery.DroppedSegments = len(segs) - i - 1
 			break
 		}
 	}
@@ -190,7 +220,8 @@ func (l *Log) recover() error {
 // append order — into fn. Records logged shortly before a snapshot may also
 // appear in the tail, so fn must be idempotent (upsert semantics). Replay
 // must run before the first Append; fn's first error aborts the replay and
-// is returned.
+// is returned. data is only valid until fn returns (the frame buffer is
+// reused for the next record): fn must copy whatever it keeps.
 func (l *Log) Replay(fn func(op string, data []byte) error) error {
 	l.mu.Lock()
 	if l.appended {
@@ -464,7 +495,8 @@ func appendFrame(dst []byte, op string, data []byte) ([]byte, error) {
 // record. It returns the byte length of the valid prefix and whether the
 // file ended cleanly at a frame boundary; a torn or corrupt frame stops the
 // walk without error (that is the recovery policy), while fn's first error
-// aborts the walk and is returned.
+// aborts the walk and is returned. One payload buffer serves every frame,
+// so the data handed to fn is overwritten by the next record.
 func scanFile(path string, fn func(op string, data []byte) error) (valid int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -476,6 +508,8 @@ func scanFile(path string, fn func(op string, data []byte) error) (valid int64, 
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
 	var hdr [frameHeaderSize]byte
+	var buf []byte
+	var op string
 	var off int64
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -486,7 +520,10 @@ func scanFile(path string, fn func(op string, data []byte) error) (valid int64, 
 		if n == 0 || n > MaxRecordSize {
 			return off, false, nil
 		}
-		payload := make([]byte, n)
+		if int(n) > cap(buf) {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return off, false, nil
 		}
@@ -498,7 +535,11 @@ func scanFile(path string, fn func(op string, data []byte) error) (valid int64, 
 			return off, false, nil
 		}
 		if fn != nil {
-			if err := fn(string(payload[1:1+opLen]), payload[1+opLen:]); err != nil {
+			// Runs of one op share a single string.
+			if op != string(payload[1:1+opLen]) {
+				op = string(payload[1 : 1+opLen])
+			}
+			if err := fn(op, payload[1+opLen:]); err != nil {
 				return off, false, err
 			}
 		}

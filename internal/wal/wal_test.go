@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -57,13 +58,14 @@ func frameLen(r rec) int64 {
 
 // TestRecovery is the table-driven edge-case suite: each case prepares a
 // log directory (normal appends plus deliberate damage), reopens it, and
-// asserts exactly which records survive.
+// asserts exactly which records survive and what Open reports it cut.
 func TestRecovery(t *testing.T) {
 	a, b, c := rec{"put", "a"}, rec{"put", "bb"}, rec{"del", "ccc"}
 	cases := []struct {
 		name  string
 		setup func(t *testing.T, dir string)
 		want  []rec
+		cut   Recovery
 	}{
 		{
 			name:  "empty log",
@@ -100,6 +102,7 @@ func TestRecovery(t *testing.T) {
 				f.Close()
 			},
 			want: []rec{a, b},
+			cut:  Recovery{TruncatedBytes: 3},
 		},
 		{
 			name: "torn final payload is truncated, prefix survives",
@@ -120,6 +123,7 @@ func TestRecovery(t *testing.T) {
 				f.Close()
 			},
 			want: []rec{a},
+			cut:  Recovery{TruncatedBytes: 13},
 		},
 		{
 			name: "CRC corruption mid-log truncates there, dropping the rest",
@@ -144,6 +148,7 @@ func TestRecovery(t *testing.T) {
 				}
 			},
 			want: []rec{a},
+			cut:  Recovery{TruncatedBytes: frameLen(b) + frameLen(c)},
 		},
 		{
 			name: "insane frame length is corruption, not an allocation",
@@ -164,6 +169,48 @@ func TestRecovery(t *testing.T) {
 				f.Close()
 			},
 			want: []rec{a},
+			cut:  Recovery{TruncatedBytes: 10},
+		},
+		{
+			name: "records that grow then shrink replay intact from a reused buffer",
+			setup: func(t *testing.T, dir string) {
+				l := openT(t, dir)
+				appendT(t, l, rec{"put", "xyz"}, rec{"put", strings.Repeat("0123456789", 7<<10)}, rec{"put", "short"})
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []rec{{"put", "xyz"}, {"put", strings.Repeat("0123456789", 7<<10)}, {"put", "short"}},
+		},
+		{
+			name: "torn segment drops every later segment",
+			setup: func(t *testing.T, dir string) {
+				l := openT(t, dir)
+				appendT(t, l, a)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(activeSegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte{7, 7, 7, 7}); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				// Two later segments that were never acknowledged past the tear.
+				for seq := uint64(2); seq <= 3; seq++ {
+					frame, err := appendFrame(nil, b.op, []byte(b.data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile((&Log{dir: dir}).segPath(seq), frame, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			want: []rec{a},
+			cut:  Recovery{TruncatedBytes: 4, DroppedSegments: 2},
 		},
 		{
 			name: "snapshot replays first, then the tail, in order",
@@ -207,6 +254,28 @@ func TestRecovery(t *testing.T) {
 				f.Close()
 			},
 			want: []rec{{"state", "a"}, b},
+			cut:  Recovery{TruncatedBytes: 2},
+		},
+		{
+			name: "damaged newer snapshot is passed over for the older one",
+			setup: func(t *testing.T, dir string) {
+				l := openT(t, dir)
+				appendT(t, l, a)
+				if err := l.Compact(func(add func(string, []byte) error) error {
+					return add("state", []byte("a"))
+				}); err != nil {
+					t.Fatal(err)
+				}
+				appendT(t, l, b)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile((&Log{dir: dir}).snapPath(99), []byte{1, 2, 3}, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: []rec{{"state", "a"}, b},
+			cut:  Recovery{DiscardedSnapshots: 1},
 		},
 	}
 	for _, tc := range cases {
@@ -215,6 +284,9 @@ func TestRecovery(t *testing.T) {
 			tc.setup(t, dir)
 			l := openT(t, dir)
 			defer l.Close()
+			if got := l.Recovery(); got != tc.cut {
+				t.Fatalf("Recovery() = %+v, want %+v", got, tc.cut)
+			}
 			got := replayT(t, l)
 			if len(got) != len(tc.want) {
 				t.Fatalf("replayed %d records, want %d: %v", len(got), len(tc.want), got)

@@ -303,6 +303,11 @@ func (e *Element) Bool() (bool, error) {
 // Processing instructions, comments, and the XML declaration are skipped;
 // a UTF-8 byte-order mark and leading whitespace are tolerated. Parsing is
 // done by the pooled byte scanner in scanner.go.
+//
+// The tree parser is a differential oracle, kept on purpose even where a
+// streaming path serves every caller: FuzzStreamVsTreeDispatch holds the
+// streaming SOAP reader to the tree it builds, and FuzzParseRoundTrip
+// holds it to encoding/xml.
 func Parse(r io.Reader) (*Element, error) {
 	b := GetBuffer()
 	defer PutBuffer(b)
@@ -362,6 +367,10 @@ func (rs *renderState) prefixFor(space string) string {
 // deterministically in first-use order (ns0, ns1, ...), and every namespace
 // declaration is emitted on the element where the namespace first appears.
 // Attribute order is preserved. The output carries no XML declaration.
+//
+// The tree renderer is a differential oracle, kept on purpose even where
+// Writer serves every caller: FuzzWriterVsRender holds Writer's output
+// byte-identical to it.
 func (e *Element) Render() string {
 	b := GetBuffer()
 	e.RenderTo(b)
